@@ -10,6 +10,10 @@ needs funnels through :meth:`DtrEvaluator.evaluate`:
 3. delay class pays the SLA penalty Lambda (Eq. 2) on its worst used path;
 4. throughput class pays the Fortz–Thorup cost Phi on total loads.
 
+Steps 2–4 go through one :class:`~repro.core.cost_model.CostModel` per
+evaluator, bit-identical to the free functions of :mod:`repro.core.delay`,
+:mod:`repro.core.fortz` and :mod:`repro.core.sla`.
+
 Failure sweeps exploit a structural shortcut: an arc that lies on no
 shortest-path DAG of a class under normal conditions cannot change that
 class's routing when it fails (removing a never-shortest arc leaves all
@@ -50,16 +54,15 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.config import OptimizerConfig
-from repro.core.delay import arc_delays
-from repro.core.fortz import fortz_cost
+from repro.core.cost_model import CostModel
 from repro.core.lexicographic import CostPair
 from repro.core.perturbation import Move
-from repro.core.sla import SlaOutcome, sla_outcome
+from repro.core.sla import SlaOutcome
 from repro.core.weights import WeightSetting
 from repro.routing.backend import resolve_sweep_batching
 from repro.routing.engine import ClassRouting, PathDelayReuse, RoutingEngine
 from repro.routing.failures import NORMAL, FailureScenario, FailureSet
-from repro.routing.incremental import IncrementalRouter
+from repro.routing.incremental import ArcJournal, IncrementalRouter
 from repro.routing.network import Network
 from repro.routing.sweep import (
     flush_delay_batch,
@@ -289,10 +292,18 @@ class DtrEvaluator:
         self._engine = RoutingEngine(
             network, backend=config.execution.routing_backend
         )
+        self._costs = CostModel(
+            network, traffic.delay.values, config.delay, config.sla
+        )
         self._num_evaluations = 0
         self._incremental = config.execution.incremental_routing
         self._sweep_batching = config.execution.sweep_batching
         self._routers: dict[str, IncrementalRouter] = {}
+        #: Per-class ``(router, journal)`` of the last
+        #: :meth:`evaluate_move`, consumed by :meth:`revert_move`.
+        self._move_journals: dict[
+            str, tuple[IncrementalRouter, ArcJournal]
+        ] = {}
         self._router_lock = threading.RLock()
         #: Sibling oracles bound to variant-perturbed traffic, keyed by
         #: variant digest (see :meth:`_variant_evaluator`).
@@ -443,13 +454,9 @@ class DtrEvaluator:
                 scenario,
                 None,
             )
-        total = routing_d.loads + routing_t.loads
-        delays = arc_delays(
-            total,
-            self._network.capacity,
-            self._network.prop_delay,
-            self._config.delay,
-        )
+        costs = self._costs
+        utilization = costs.utilization(routing_d.loads + routing_t.loads)
+        delays = costs.arc_delays(utilization)
         delay_reuse = None
         if (
             reusable_d
@@ -468,10 +475,8 @@ class DtrEvaluator:
             reuse=delay_reuse,
             memo=self._incremental,
         )
-        sla = sla_outcome(pair_delays, routing_d.demands, self._config.sla)
-        phi = fortz_cost(
-            total, self._network.capacity, include=routing_t.loads > 0.0
-        )
+        sla = costs.sla(pair_delays, routing_d.demands)
+        phi = costs.fortz(utilization, routing_t.loads > 0.0)
         return ScenarioEvaluation(
             scenario=scenario,
             cost=CostPair(sla.cost, phi),
@@ -480,7 +485,7 @@ class DtrEvaluator:
             loads_tput=routing_t.loads,
             arc_delay=delays,
             pair_delays=pair_delays,
-            utilization=total / self._network.capacity,
+            utilization=utilization,
             routing_delay=routing_d,
             routing_tput=routing_t,
             kind=kind,
@@ -672,6 +677,7 @@ class DtrEvaluator:
         """
         if self._incremental and move is not None:
             with self._router_lock:
+                journals = {}
                 for class_id, arc, old, new in move.deltas:
                     router = self._routers.get(class_id)
                     if (
@@ -679,28 +685,37 @@ class DtrEvaluator:
                         and router.weight_of(arc) == float(old)
                     ):
                         router.set_arc_weight(arc, new)
+                        journals[class_id] = (router, router.last_journal)
+                self._move_journals = journals
         return self.evaluate(setting, NORMAL, reuse=reuse)
 
     def revert_move(self, setting: WeightSetting, move: Move) -> None:
-        """Restore the routers after a rejected move, in O(affected).
+        """Restore the routers after a rejected move.
 
         The counterpart of :meth:`evaluate_move`: ``move.revert(...)``
         restores the *weight setting*; this restores the evaluator's
         incremental router state so the next candidate is again a
-        single-arc delta.  A no-op without incremental routing, and safe
-        to skip entirely — the routers re-diff on the next evaluation.
+        single-arc delta.  Each class whose delta :meth:`evaluate_move`
+        applied is restored from that delta's journal
+        (:meth:`IncrementalRouter.revert`), recomputing nothing.  A class
+        whose router changed in between (or whose delta it never saw) is
+        left alone: the next evaluation's ``sync`` re-diffs it.  A no-op
+        without incremental routing, and safe to skip entirely.
         """
         del setting  # the routers track their own weights
         if not self._incremental:
             return
         with self._router_lock:
+            journals, self._move_journals = self._move_journals, {}
             for class_id, arc, old, new in move.deltas:
-                router = self._routers.get(class_id)
+                router, journal = journals.get(class_id, (None, None))
                 if (
-                    router is not None
-                    and router.weight_of(arc) == float(new)
+                    journal is not None
+                    and router is self._routers.get(class_id)
+                    and (journal.arc, journal.old_weight, journal.new_weight)
+                    == (arc, float(old), float(new))
                 ):
-                    router.set_arc_weight(arc, old)
+                    router.revert(journal)
 
     def evaluate_normal_batch(
         self, settings: "list[WeightSetting] | tuple[WeightSetting, ...]"
@@ -1107,6 +1122,7 @@ class DtrEvaluator:
 
         # Stage 3: arc delays and the path-delay reuse/memo pre-pass per
         # scenario; outstanding delay columns flush in one batched DP.
+        costs = self._costs
         n = self._network.num_nodes
         reuse_normal = reuse is not None and reuse.scenario.is_normal
         delay_tasks: "list[tuple]" = []
@@ -1115,13 +1131,8 @@ class DtrEvaluator:
             if key in shortcut:
                 continue
             routing_d, routing_t, reusable_d = resolved[key]
-            total = routing_d.loads + routing_t.loads
-            delays = arc_delays(
-                total,
-                self._network.capacity,
-                self._network.prop_delay,
-                self._config.delay,
-            )
+            utilization = costs.utilization(routing_d.loads + routing_t.loads)
+            delays = costs.arc_delays(utilization)
             delay_reuse = None
             if reusable_d and reuse_normal:
                 delay_reuse = PathDelayReuse(
@@ -1134,7 +1145,9 @@ class DtrEvaluator:
                 routing_d, delays, self._delay_mode, delay_reuse, True, out
             )
             delay_tasks.append((routing_d, delays, out, pending))
-            assembled.append((key, routing_d, routing_t, total, delays, out))
+            assembled.append(
+                (key, routing_d, routing_t, utilization, delays, out)
+            )
         # Resolve the loads-batch handoffs to delay-task indices: every
         # routed delay-class scenario has a task (only shortcut ones
         # don't, and those were never routed).
@@ -1158,14 +1171,10 @@ class DtrEvaluator:
         )
 
         # Stage 4: per-scenario cost assembly (identical arithmetic).
-        for key, routing_d, routing_t, total, delays, out in assembled:
+        for key, routing_d, routing_t, utilization, delays, out in assembled:
             failure, kind = key
-            sla = sla_outcome(out, routing_d.demands, self._config.sla)
-            phi = fortz_cost(
-                total,
-                self._network.capacity,
-                include=routing_t.loads > 0.0,
-            )
+            sla = costs.sla(out, routing_d.demands)
+            phi = costs.fortz(utilization, routing_t.loads > 0.0)
             shortcut[key] = ScenarioEvaluation(
                 scenario=failure,
                 cost=CostPair(sla.cost, phi),
@@ -1174,7 +1183,7 @@ class DtrEvaluator:
                 loads_tput=routing_t.loads,
                 arc_delay=delays,
                 pair_delays=out,
-                utilization=total / self._network.capacity,
+                utilization=utilization,
                 routing_delay=routing_d,
                 routing_tput=routing_t,
                 kind=kind,

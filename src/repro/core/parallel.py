@@ -313,8 +313,16 @@ class CachingDtrEvaluator(DtrEvaluator):
         incremental router (when enabled), and the incremental result is
         a perfectly cacheable routing — it is bit-identical to a
         from-scratch one — so it is stored like any other.
+
+        With incremental routing the normal scenario bypasses the cache:
+        the live router already holds that routing (in sync with the
+        current move), while a cache hit would leave the router unsynced
+        and report no reusable destinations, dropping the path-delay
+        reuse hint.
         """
-        if self._cache is None:
+        if self._cache is None or (
+            self._incremental and scenario.is_normal
+        ):
             return super()._route_with_reuse(
                 class_id, weights, demands, scenario, base_routing
             )

@@ -56,10 +56,11 @@ class Move:
 
         The incremental-routing protocol: the evaluator applies these to
         its per-class routers on :meth:`~repro.core.evaluation.
-        DtrEvaluator.evaluate_move` and plays them backwards on
-        :meth:`~repro.core.evaluation.DtrEvaluator.revert_move`, so both
-        directions cost O(affected destinations) instead of a re-route.
-        Classes whose weight is unchanged are omitted.
+        DtrEvaluator.evaluate_move` in O(affected destinations) instead
+        of a re-route, and undoes them on
+        :meth:`~repro.core.evaluation.DtrEvaluator.revert_move` from the
+        deltas' journals.  Classes whose weight is unchanged are
+        omitted.
         """
         out = []
         if self.new_delay != self.old_delay:

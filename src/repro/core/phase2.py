@@ -20,8 +20,8 @@ and the per-scenario failure sweep is abandoned as soon as its partial
 lexicographic cost can no longer beat the incumbent (costs only grow as
 scenarios accumulate).  Rejected moves restore the evaluator's
 incremental router state via
-:meth:`~repro.core.evaluation.DtrEvaluator.revert_move` in O(affected
-destinations).
+:meth:`~repro.core.evaluation.DtrEvaluator.revert_move`, which restores
+the rows the move overwrote from its journal.
 """
 
 from __future__ import annotations

@@ -28,8 +28,14 @@ changed arcs participate in (or could start participating in).
   **decrease** to ``w`` can only affect destinations ``t`` with
   ``dist(u, t) >= w + dist(v, t)`` (otherwise the arc is strictly worse
   than what ``u`` already has, for every source);
-* only the affected destinations get a fresh single-destination Dijkstra
-  (on the reversed graph), mask-row rebuild and load re-propagation.
+* only the affected destinations get fresh distance columns, mask rows
+  and load re-propagations; a decrease updates its columns in closed
+  form from the held column of the arc's tail, an increase repairs the
+  affected cone or runs a single-destination Dijkstra;
+* every applied delta records an :class:`ArcJournal` holding the rows it
+  overwrote, so a rejected move is undone by restoring them
+  (:meth:`IncrementalRouter.revert`) instead of replaying the delta
+  backwards.
 
 Results are **bit-identical** to :meth:`repro.routing.engine.
 RoutingEngine.route_class`.  Two properties make that possible: arc
@@ -79,10 +85,12 @@ from repro.routing.spf import (
 from repro.routing.vectorized import BatchPlan, build_schedule
 
 #: Weight-delta count above which :meth:`IncrementalRouter.sync` rebuilds
-#: from scratch instead of replaying per-arc deltas.  Local-search sync
-#: patterns are 1 arc (accepted move), 2 arcs (rejected move + next
-#: candidate) or 4 (Phase-1b base hops); beyond that a rebuild's single
-#: batched Dijkstra wins.
+#: from scratch instead of replaying per-arc deltas.  Local-search moves
+#: never reach ``sync``: the evaluator applies a move's deltas itself and
+#: undoes a rejected one from its journal.  What remains are settings
+#: that arrive without a move — 1 arc (a move applied behind the
+#: evaluator's back) up to 4 (Phase-1b base hops); beyond that a
+#: rebuild's single batched Dijkstra wins.
 SYNC_DELTA_LIMIT = 4
 
 #: Capacity of the per-destination propagation memo (entries).
@@ -98,7 +106,7 @@ class _PropagationMemo:
     replays the identical floats, no approximation involved.  The sweep
     access pattern makes this pay: one candidate's scenario states
     reappear for the next candidate whenever the move arc does not touch
-    them, and rejected moves revert straight back to memoized states.
+    them.
     """
 
     __slots__ = ("_entries", "_max_entries", "hits", "misses")
@@ -144,6 +152,9 @@ class RouterStats:
     Attributes:
         rebuilds: full from-scratch builds (constructor + oversized syncs).
         deltas: single-arc weight deltas applied.
+        reverts: deltas undone by restoring their journal
+            (:meth:`IncrementalRouter.revert`); a restore recomputes
+            nothing and is not counted in ``destinations_recomputed``.
         destinations_recomputed: destination columns recomputed across all
             deltas and scenario routes (Dijkstra + mask + propagation).
         destinations_reused: destination columns served from cache by
@@ -153,9 +164,49 @@ class RouterStats:
 
     rebuilds: int = 0
     deltas: int = 0
+    reverts: int = 0
     destinations_recomputed: int = 0
     destinations_reused: int = 0
     scenario_routes: int = 0
+
+
+@dataclass(frozen=True)
+class ArcJournal:
+    """Undo record of one applied arc-weight delta.
+
+    Holds the base-state rows the delta overwrote, copied just before it
+    wrote them.  :meth:`IncrementalRouter.revert` writes them back, which
+    restores the pre-delta state bit for bit without recomputing
+    anything — as long as nothing else changed the router in between,
+    which ``version`` tells.
+
+    Attributes:
+        arc: the arc whose weight changed.
+        old_weight: its weight before the delta.
+        new_weight: its weight after the delta.
+        version: the router's :attr:`~IncrementalRouter.version` right
+            after the delta; the journal applies only while it is still
+            current.
+        rows: destination positions the delta overwrote.
+        dist_cols: their previous distance columns, ``(N, len(rows))``.
+        masks: their previous DAG-mask rows.
+        contribs: their previous load contributions.
+        und: their previous undelivered volumes.
+        weights_integral: the router's integral-weights flag before.
+        routing: the assembled routing cached before the delta.
+    """
+
+    arc: int
+    old_weight: float
+    new_weight: float
+    version: int
+    rows: np.ndarray
+    dist_cols: np.ndarray
+    masks: np.ndarray
+    contribs: np.ndarray
+    und: np.ndarray
+    weights_integral: bool
+    routing: "ClassRouting | None"
 
 
 @dataclass
@@ -260,6 +311,11 @@ class IncrementalRouter:
             raise ValueError("demand matrix shape must be (N, N)")
         self._demands = demands
         self._dest = np.flatnonzero(demands.sum(axis=0) > 0.0)
+        #: Row of each node in the held columns, -1 for non-destinations.
+        self._row_of = np.full(network.num_nodes, -1, dtype=np.intp)
+        self._row_of[self._dest] = np.arange(self._dest.size)
+        self._version = 0
+        self._last_journal: ArcJournal | None = None
         self._weights = np.empty(0)
         self._dist_cols = np.empty((0, 0))
         self._masks = np.empty((0, 0), dtype=bool)
@@ -343,6 +399,7 @@ class IncrementalRouter:
         self._und = np.zeros(self._dest.size)
         self._propagate_rows(np.arange(self._dest.size))
         self._routing = None
+        self._version += 1
         self.stats.rebuilds += 1
         self.stats.destinations_recomputed += int(self._dest.size)
 
@@ -577,7 +634,10 @@ class IncrementalRouter:
           ``dist(u, t) >= w + dist(v, t)`` can change; exact equality
           means the arc *joins* the DAG without moving any distance
           (mask bit + re-propagation only), strict improvement means
-          distances genuinely drop (fresh Dijkstra column).
+          distances genuinely drop (:meth:`_decreased_columns`).
+
+        The rows about to be overwritten are snapshotted first; the
+        snapshot is :attr:`last_journal`, which :meth:`revert` restores.
 
         Returns:
             The number of destinations touched (0 when the delta provably
@@ -589,11 +649,13 @@ class IncrementalRouter:
             raise ValueError("arc weights must be >= 1")
         old_weight = float(self._weights[arc])
         if new_weight == old_weight:
+            self._last_journal = None
             return 0
         net = self._net
         u = int(net.arc_src[arc])
         if new_weight > old_weight:
             rows = np.flatnonzero(self._masks[:, arc])
+            journal = self._journal(arc, old_weight, new_weight, rows)
             self._set_weight_entry(arc, new_weight)
             if rows.size:
                 out_u = net.out_arcs[u]
@@ -623,6 +685,7 @@ class IncrementalRouter:
             joins &= finite & np.isfinite(du)
             improves &= finite
             rows = np.flatnonzero(joins | improves)
+            journal = self._journal(arc, old_weight, new_weight, rows)
             self._set_weight_entry(arc, new_weight)
             mask_only = np.flatnonzero(joins)
             spf_rows = np.flatnonzero(improves)
@@ -631,12 +694,114 @@ class IncrementalRouter:
                 for row in mask_only:
                     self._propagate_row(int(row), int(self._dest[row]))
             if spf_rows.size:
-                self._recompute_rows(spf_rows)
+                cols = self._decreased_columns(u, new_weight, dv, spf_rows)
+                if cols is None:
+                    self._recompute_rows(spf_rows)
+                else:
+                    self._install_columns(spf_rows, cols)
+        self._version += 1
         self.stats.deltas += 1
         if rows.size:
             self._routing = None
             self.stats.destinations_recomputed += int(rows.size)
+        self._last_journal = journal
         return int(rows.size)
+
+    def _journal(
+        self,
+        arc: int,
+        old_weight: float,
+        new_weight: float,
+        rows: np.ndarray,
+    ) -> ArcJournal:
+        """Snapshot ``rows`` before a delta overwrites them.
+
+        ``version`` is the one the delta is about to leave behind.
+        """
+        return ArcJournal(
+            arc=arc,
+            old_weight=old_weight,
+            new_weight=new_weight,
+            version=self._version + 1,
+            rows=rows,
+            dist_cols=self._dist_cols[:, rows],
+            masks=self._masks[rows],
+            contribs=self._contribs[rows],
+            und=self._und[rows],
+            weights_integral=self._weights_integral,
+            routing=self._routing,
+        )
+
+    @property
+    def last_journal(self) -> "ArcJournal | None":
+        """The journal of the most recent :meth:`set_arc_weight` call;
+        None when that call changed nothing."""
+        return self._last_journal
+
+    @property
+    def version(self) -> int:
+        """Mutation counter of the base state.
+
+        Bumped by every rebuild, effective delta and journal restore, so
+        an :class:`ArcJournal` applies exactly while the version it
+        recorded is still current.
+        """
+        return self._version
+
+    def revert(self, journal: ArcJournal) -> bool:
+        """Undo the delta ``journal`` recorded, if nothing came after it.
+
+        Writes the journalled rows, weight entry, integral-weights flag
+        and cached routing back — the exact pre-delta state, recomputing
+        nothing.
+
+        Returns:
+            False, leaving the router untouched, when the journal is
+            stale (another mutation ran since the delta); the router then
+            stays at the delta's weights until the next :meth:`sync`.
+        """
+        if journal.version != self._version:
+            return False
+        rows = journal.rows
+        self._set_weight_entry(journal.arc, journal.old_weight)
+        self._weights_integral = journal.weights_integral
+        if rows.size:
+            self._dist_cols[:, rows] = journal.dist_cols
+            self._masks[rows] = journal.masks
+            self._contribs[rows] = journal.contribs
+            self._und[rows] = journal.und
+            self._routing = journal.routing
+        self._version += 1
+        self.stats.reverts += 1
+        return True
+
+    def _decreased_columns(
+        self,
+        u: int,
+        new_weight: float,
+        dv: np.ndarray,
+        rows: np.ndarray,
+    ) -> np.ndarray | None:
+        """Closed-form columns of ``rows`` after arc ``(u, v)`` drops.
+
+        With the arc at weight ``w`` a new shortest path either avoids
+        it — old length — or is ``x -> u``, the arc, ``v -> t``, so
+        ``D'[x, t] = min(D[x, t], D[x, u] + w + D[v, t])``.  Column ``u``
+        and row ``v`` are unchanged by the delta (a shortest path to
+        ``u`` never leaves ``u``, one from ``v`` never re-enters ``v``),
+        so both come straight from the held columns and the update is
+        one NumPy expression.  Exact, hence bit-identical to a Dijkstra
+        column, on integral weights.
+
+        Returns None — caller runs Dijkstra — when ``u`` is not a
+        demand destination (no held column) or the weights are not
+        integral.
+        """
+        u_row = int(self._row_of[u])
+        if u_row < 0 or not self._weights_integral:
+            return None
+        via = self._dist_cols[:, u_row, None] + (new_weight + dv[rows])
+        return np.minimum(self._dist_cols[:, rows], via)
 
     def _columns_for(
         self,
@@ -712,6 +877,10 @@ class IncrementalRouter:
             missing = list(range(rows.size))
         if missing:
             cols[:, missing] = self._columns_for(dests[missing])
+        self._install_columns(rows, cols)
+
+    def _install_columns(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Store new distance columns, rebuild their masks and loads."""
         self._dist_cols[:, rows] = cols
         self._masks[rows] = destination_mask_rows(
             self._net, self._weights, cols

@@ -9,14 +9,17 @@ evaluator exactly.
 import numpy as np
 import pytest
 
-from repro.config import ExecutionParams
+from repro.config import ExecutionParams, OptimizerConfig
 from repro.core.evaluation import DtrEvaluator
-from repro.core.perturbation import random_phase2_move
+from repro.core.parallel import CachingDtrEvaluator
+from repro.core.perturbation import random_pair_move, random_phase2_move
 from repro.core.weights import WeightSetting
 from repro.routing.failures import (
+    NORMAL,
     single_link_failures,
     single_node_failures,
 )
+from repro.routing.incremental import IncrementalRouter
 
 
 def _scratch_evaluator(evaluator: DtrEvaluator) -> DtrEvaluator:
@@ -117,6 +120,108 @@ class TestEvaluateMoveParity:
         assert outcome.scenario.is_normal
         move.revert(setting)
         evaluator.revert_move(setting, move)  # must not raise
+
+
+class TestJournalledRevertParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_move_revert_sequences_with_drift(self, small_instance, seed):
+        """evaluate_move / revert_move interleaved with drift.
+
+        Drift between a move and its revert — failure evaluations,
+        normal evaluations of unrelated settings (delta syncs and
+        rebuilds), and reverts of stale moves — must leave every router
+        equal to a fresh one at its weights, and every evaluation equal
+        to the plain evaluator's.
+        """
+        network, traffic = small_instance
+        config = OptimizerConfig()
+        evaluator = CachingDtrEvaluator(network, traffic, config)
+        plain = DtrEvaluator(
+            network,
+            traffic,
+            config.replace(
+                execution=ExecutionParams(
+                    routing_cache=False, incremental_routing=False
+                )
+            ),
+        )
+        rng = np.random.default_rng(seed)
+        failures = list(single_link_failures(network))
+        nodes = list(single_node_failures(network))
+        setting = WeightSetting.random(network.num_arcs, config.weights, rng)
+        cur = evaluator.evaluate_normal(setting)
+        stale = None
+        for step in range(30):
+            arc = int(rng.integers(0, network.num_arcs))
+            draw = random_pair_move if rng.random() < 0.5 else (
+                random_phase2_move
+            )
+            move = draw(setting, arc, config.weights, rng)
+            if not move.changes_anything:
+                continue
+            move.apply(setting)
+            cand = evaluator.evaluate_move(setting, move, reuse=cur)
+            assert_evaluations_identical(
+                cand, plain.evaluate_normal(setting), f"move {step}"
+            )
+            drift = rng.integers(0, 5)
+            if drift == 1:
+                scenario = failures[int(rng.integers(0, len(failures)))]
+                got = evaluator.evaluate(setting, scenario, reuse=cand)
+                assert_evaluations_identical(
+                    got, plain.evaluate(setting, scenario), scenario.label
+                )
+                got = evaluator.evaluate(setting, nodes[0], reuse=cand)
+                assert_evaluations_identical(
+                    got, plain.evaluate(setting, nodes[0]), "node"
+                )
+            elif drift == 2:
+                other = setting.copy()
+                other.delay[int(rng.integers(0, network.num_arcs))] = 1
+                evaluator.evaluate_normal(other)
+            elif drift == 3:
+                evaluator.evaluate_normal(
+                    WeightSetting.random(
+                        network.num_arcs, config.weights, rng
+                    )
+                )
+            elif drift == 4 and stale is not None:
+                evaluator.revert_move(setting, stale)
+            if rng.random() < 0.6:
+                move.revert(setting)
+                evaluator.revert_move(setting, move)
+                stale = move
+            else:
+                cur = cand
+            for class_id, router in evaluator._routers.items():
+                demands = (
+                    traffic.delay.values
+                    if class_id == "delay"
+                    else traffic.throughput.values
+                )
+                fresh = IncrementalRouter(
+                    network, demands, np.array(router.weights)
+                )
+                assert np.array_equal(router._dist_cols, fresh._dist_cols)
+                assert np.array_equal(router._masks, fresh._masks)
+                assert np.array_equal(router._contribs, fresh._contribs)
+                assert np.array_equal(router._und, fresh._und)
+                assert np.array_equal(
+                    router.routing.loads, fresh.routing.loads
+                )
+                assert np.array_equal(
+                    router.routing.masks, fresh.routing.masks
+                )
+                assert np.array_equal(
+                    router.routing.dist, fresh.routing.dist
+                )
+            now = evaluator.evaluate(setting, NORMAL, reuse=cur)
+            assert_evaluations_identical(
+                now, plain.evaluate_normal(setting), f"after {step}"
+            )
+        assert sum(
+            router.stats.reverts for router in evaluator._routers.values()
+        )
 
 
 class TestFailureSweepParity:

@@ -6,6 +6,7 @@ results for the same inputs.  Parity assertions therefore use exact
 equality, not approximate comparisons.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -202,13 +203,28 @@ class TestThreadPoolParity:
         _assert_bit_identical(reference, candidate)
 
 
+def _normal_caching(evaluator) -> CachingDtrEvaluator:
+    """A caching evaluator whose normal routings go through the cache.
+
+    With incremental routing on, normal-scenario routings come from the
+    live router and bypass the cache; these tests exercise the cache
+    itself, so they route without it.
+    """
+    config = evaluator.config
+    return CachingDtrEvaluator(
+        evaluator.network,
+        evaluator.traffic,
+        config.replace(
+            execution=dataclasses.replace(
+                config.execution, incremental_routing=False
+            )
+        ),
+    )
+
+
 class TestRoutingCache:
     def test_exact_hit_on_repeat(self, small_evaluator, random_setting):
-        caching = CachingDtrEvaluator(
-            small_evaluator.network,
-            small_evaluator.traffic,
-            small_evaluator.config,
-        )
+        caching = _normal_caching(small_evaluator)
         caching.evaluate_normal(random_setting)
         assert caching.cache_stats.misses == 2  # one per class
         caching.evaluate_normal(random_setting)
@@ -218,9 +234,7 @@ class TestRoutingCache:
         self, small_evaluator, random_setting
     ):
         config = small_evaluator.config
-        caching = CachingDtrEvaluator(
-            small_evaluator.network, small_evaluator.traffic, config
-        )
+        caching = _normal_caching(small_evaluator)
         normal = caching.evaluate_normal(random_setting)
         unused = ~normal.routing_delay.used_arcs()
         if not unused.any():
@@ -244,9 +258,7 @@ class TestRoutingCache:
         self, small_evaluator, random_setting
     ):
         config = small_evaluator.config
-        caching = CachingDtrEvaluator(
-            small_evaluator.network, small_evaluator.traffic, config
-        )
+        caching = _normal_caching(small_evaluator)
         caching.evaluate_normal(random_setting)
         arc = 0
         moved = random_setting.copy()
@@ -266,9 +278,7 @@ class TestRoutingCache:
         """Random single-arc moves: cached evaluator == fresh serial."""
         config = small_evaluator.config
         network = small_evaluator.network
-        caching = CachingDtrEvaluator(
-            network, small_evaluator.traffic, config
-        )
+        caching = _normal_caching(small_evaluator)
         serial = DtrEvaluator(network, small_evaluator.traffic, config)
         setting = WeightSetting.random(
             network.num_arcs, config.weights, rng
@@ -285,6 +295,65 @@ class TestRoutingCache:
             assert np.array_equal(cached.loads_delay, fresh.loads_delay)
             assert np.array_equal(cached.loads_tput, fresh.loads_tput)
         assert caching.cache_stats.hits > 0
+
+    def test_live_router_normal_path_bypasses_cache(
+        self, small_evaluator, random_setting
+    ):
+        """Incremental routing: normal routings never touch the cache,
+        failure routings still do."""
+        caching = CachingDtrEvaluator(
+            small_evaluator.network,
+            small_evaluator.traffic,
+            small_evaluator.config,
+        )
+        normal = caching.evaluate_normal(random_setting)
+        caching.evaluate_normal(random_setting)
+        assert caching.cache_stats.lookups == 0
+        failure = next(iter(single_link_failures(caching.network)))
+        caching.evaluate(random_setting, failure, reuse=normal)
+        caching.evaluate(random_setting, failure, reuse=normal)
+        assert caching.cache_stats.lookups > 0
+        assert caching.cache_stats.hits_exact > 0
+
+    def test_seen_normal_weights_keep_path_delay_hint(
+        self, small_evaluator, random_setting, monkeypatch
+    ):
+        """A normal evaluation of weights seen before still hands the
+        reusable destinations to ``path_delays`` (a cache hit used to
+        drop them)."""
+        caching = CachingDtrEvaluator(
+            small_evaluator.network,
+            small_evaluator.traffic,
+            small_evaluator.config,
+        )
+        base = caching.evaluate_normal(random_setting)
+        arc = int(np.flatnonzero(base.routing_delay.used_arcs())[0])
+        moved = random_setting.copy()
+        moved.delay[arc] = int(moved.delay[arc]) + 1
+        caching.evaluate_normal(moved)
+        caching.evaluate_normal(random_setting)
+        hints = []
+        path_delays = caching.engine.path_delays
+
+        def spy(*args, **kwargs):
+            hints.append(kwargs.get("reuse"))
+            return path_delays(*args, **kwargs)
+
+        monkeypatch.setattr(caching.engine, "path_delays", spy)
+        outcome = caching.evaluate(moved, NORMAL, reuse=base)
+        assert hints and hints[0] is not None
+        assert hints[0].reusable
+        fresh = DtrEvaluator(
+            small_evaluator.network,
+            small_evaluator.traffic,
+            small_evaluator.config.replace(
+                execution=ExecutionParams(incremental_routing=False)
+            ),
+        ).evaluate(moved, NORMAL)
+        assert outcome.cost == fresh.cost
+        assert np.array_equal(
+            outcome.pair_delays, fresh.pair_delays, equal_nan=True
+        )
 
     def test_lru_eviction_bounds_entries(self):
         cache = RoutingCache(max_entries=1)
