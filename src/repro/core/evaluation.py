@@ -65,9 +65,11 @@ from repro.routing.failures import NORMAL, FailureScenario, FailureSet
 from repro.routing.incremental import ArcJournal, IncrementalRouter
 from repro.routing.network import Network
 from repro.routing.sweep import (
+    DelayBase,
     flush_delay_batch,
     plan_sweep,
     route_scenario_batch,
+    split_delay_columns,
 )
 from repro.scenarios.scenario import Scenario, ScenarioSet, as_scenario
 from repro.scenarios.variants import TrafficVariant
@@ -986,8 +988,10 @@ class DtrEvaluator:
         invocations: one :func:`~repro.routing.sweep.
         route_scenario_batch` per class and one
         :func:`~repro.routing.sweep.flush_delay_batch` for the delay
-        DPs.  Every stage replays the identical floats, so each
-        scenario's evaluation is bit-identical to the per-scenario path.
+        DPs, where every delay column left unchanged from the NORMAL
+        routing is copied or priced on that routing's schedule.  Every
+        stage replays the identical floats, so each scenario's
+        evaluation is bit-identical to the per-scenario path.
         Exact duplicates (same failure, same kind) share one evaluation.
         """
         self._num_evaluations += len(idxs)
@@ -1011,9 +1015,18 @@ class DtrEvaluator:
         )
         used_d = reuse.routing_delay.used_arcs() if have_reuse else None
         used_t = reuse.routing_tput.used_arcs() if have_reuse else None
-        base_d = (
-            reuse.routing_delay
-            if reuse is not None and reuse.scenario.is_normal
+        # The NORMAL evaluation unchanged delay columns are priced against.
+        base = (
+            DelayBase(
+                routing=reuse.routing_delay,
+                pair_delays=reuse.pair_delays,
+                arc_delays=reuse.arc_delay,
+            )
+            if (
+                reuse is not None
+                and reuse.scenario.is_normal
+                and reuse.routing_delay is not None
+            )
             else None
         )
 
@@ -1027,14 +1040,10 @@ class DtrEvaluator:
             failure, kind = key
             routing_d: ClassRouting | None = None
             routing_t: ClassRouting | None = None
-            reusable_d: "frozenset[int] | None" = None
             if have_reuse:
                 failed = list(failure.failed_arcs)
                 if not used_d[failed].any():
                     routing_d = reuse.routing_delay
-                    reusable_d = frozenset(
-                        int(t) for t in routing_d.destinations
-                    )
                 if not used_t[failed].any():
                     routing_t = reuse.routing_tput
                 if routing_d is not None and routing_t is not None:
@@ -1055,10 +1064,9 @@ class DtrEvaluator:
                 if routing_d is None:
                     route_d.append(key)
                 else:
-                    # A hit reports no reusable set, and is re-stored —
-                    # an incremental (dominated-weights) hit installs
-                    # the exact key — exactly like the serial caching
-                    # path's get-then-put sequence.
+                    # A hit is re-stored — an incremental (dominated-
+                    # weights) hit installs the exact key — exactly like
+                    # the serial caching path's get-then-put sequence.
                     self._batch_route_store(
                         "delay", failure, setting.delay, routing_d
                     )
@@ -1072,7 +1080,7 @@ class DtrEvaluator:
                     self._batch_route_store(
                         "tput", failure, setting.tput, routing_t
                     )
-            resolved[key] = [routing_d, routing_t, reusable_d]
+            resolved[key] = [routing_d, routing_t]
 
         # Stage 2: batch-route the rest per class through the
         # incremental routers (scenario-axis batched propagation).  The
@@ -1087,20 +1095,12 @@ class DtrEvaluator:
                     )
                     router.sync(setting.delay)
                     routings, handoffs = route_scenario_batch(
-                        router,
-                        [key[0] for key in route_d],
-                        want_reusable=base_d is not None,
+                        router, [key[0] for key in route_d]
                     )
-                    for key, scenario_routing in zip(route_d, routings):
-                        entry = resolved[key]
-                        entry[0] = scenario_routing.routing
-                        entry[2] = (
-                            scenario_routing.reusable
-                            if base_d is not None
-                            else None
-                        )
+                    for key, routing in zip(route_d, routings):
+                        resolved[key][0] = routing
                         self._batch_route_store(
-                            "delay", key[0], setting.delay, entry[0]
+                            "delay", key[0], setting.delay, routing
                         )
                 if route_t:
                     router = self._router_for(
@@ -1110,41 +1110,32 @@ class DtrEvaluator:
                     )
                     router.sync(setting.tput)
                     routings, _ = route_scenario_batch(
-                        router,
-                        [key[0] for key in route_t],
-                        want_reusable=False,
+                        router, [key[0] for key in route_t]
                     )
-                    for key, scenario_routing in zip(route_t, routings):
-                        resolved[key][1] = scenario_routing.routing
+                    for key, routing in zip(route_t, routings):
+                        resolved[key][1] = routing
                         self._batch_route_store(
-                            "tput", key[0], setting.tput, resolved[key][1]
+                            "tput", key[0], setting.tput, routing
                         )
 
-        # Stage 3: arc delays and the path-delay reuse/memo pre-pass per
-        # scenario; outstanding delay columns flush in one batched DP.
+        # Stage 3: arc delays per scenario; unchanged delay columns are
+        # copied from the base evaluation or priced on its schedule,
+        # the rest flush in batched DPs.
         costs = self._costs
         n = self._network.num_nodes
-        reuse_normal = reuse is not None and reuse.scenario.is_normal
         delay_tasks: "list[tuple]" = []
         assembled: "list[tuple]" = []
         for key in order:
             if key in shortcut:
                 continue
-            routing_d, routing_t, reusable_d = resolved[key]
+            routing_d, routing_t = resolved[key]
             utilization = costs.utilization(routing_d.loads + routing_t.loads)
             delays = costs.arc_delays(utilization)
-            delay_reuse = None
-            if reusable_d and reuse_normal:
-                delay_reuse = PathDelayReuse(
-                    pair_delays=reuse.pair_delays,
-                    arc_delays=reuse.arc_delay,
-                    reusable=reusable_d,
-                )
             out = np.full((n, n), np.nan)
-            pending = self._engine._delay_pending(
-                routing_d, delays, self._delay_mode, delay_reuse, True, out
+            replay, pending = split_delay_columns(
+                base, routing_d, delays, out
             )
-            delay_tasks.append((routing_d, delays, out, pending))
+            delay_tasks.append((routing_d, delays, out, replay, pending))
             assembled.append(
                 (key, routing_d, routing_t, utilization, delays, out)
             )
@@ -1167,7 +1158,7 @@ class DtrEvaluator:
             for handoff in handoffs
         ]
         flush_delay_batch(
-            self._engine, self._delay_mode, delay_tasks, shared
+            self._engine, self._delay_mode, delay_tasks, shared, base
         )
 
         # Stage 4: per-scenario cost assembly (identical arithmetic).

@@ -60,6 +60,46 @@ def _batch_delay_kernel(resolved: str, mode: str):
 _PY_DELAY_BATCH_MAX = 12
 
 
+class DelayMemo:
+    """Exact LRU memo of per-destination path-delay columns.
+
+    A column is a pure function of ``(mode, destination, mask row,
+    masked arc delays)``, so a hit replays the identical floats.  Only
+    the per-scenario :meth:`RoutingEngine.path_delays` path consults
+    it; the batched sweep engine prices unchanged columns on the base
+    routing's schedule instead.  ``hits``/``misses`` count probes.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._max_entries = max_entries
+        # The thread-pool evaluator shares one engine across workers;
+        # memo bookkeeping (get + move_to_end, insert + evict) must not
+        # interleave.
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> "np.ndarray | None":
+        with self._lock:
+            column = self._entries.get(key)
+            if column is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return column
+
+    def put(self, key: tuple, column: np.ndarray) -> None:
+        with self._lock:
+            self._entries[key] = column
+            while len(self._entries) > self._max_entries:
+                self._entries.popitem(last=False)
+
+
 @dataclass(frozen=True)
 class ClassRouting:
     """Shortest-path routing of one traffic class under one scenario.
@@ -175,11 +215,7 @@ class RoutingEngine:
         # to them, so compile latency lands here — construction — and
         # never inside a timed sweep (no-op without numba; idempotent).
         maybe_warm_numba(backend, network.num_nodes, network.num_arcs)
-        self._delay_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        # The thread-pool evaluator shares one engine across workers;
-        # memo bookkeeping (get + move_to_end, insert + evict) must not
-        # interleave.
-        self._delay_memo_lock = threading.Lock()
+        self._delay_memo = DelayMemo(self._DELAY_MEMO_SIZE)
 
     @property
     def network(self) -> Network:
@@ -190,6 +226,11 @@ class RoutingEngine:
     def backend(self) -> str:
         """The configured kernel backend (``auto``/``python``/``vector``)."""
         return self._backend
+
+    @property
+    def delay_memo(self) -> DelayMemo:
+        """The per-destination path-delay memo of :meth:`path_delays`."""
+        return self._delay_memo
 
     @property
     def plan(self) -> PropagationPlan:
@@ -387,7 +428,7 @@ class RoutingEngine:
                 out[:, t] = column
                 out[t, t] = np.nan
                 if key is not None:
-                    self._memo_put(key, out[:, t].copy())
+                    self._delay_memo.put(key, out[:, t].copy())
             pending = []
         if pending:
             batch_propagate = _batch_delay_kernel(resolved, mode)
@@ -423,7 +464,7 @@ class RoutingEngine:
                             out[:, t] = columns[:, pos_of[t]]
                             out[t, t] = np.nan
                             if key is not None:
-                                self._memo_put(key, out[:, t].copy())
+                                self._delay_memo.put(key, out[:, t].copy())
                         pending = [
                             p for p in pending if p[1] not in bd_set
                         ]
@@ -444,7 +485,7 @@ class RoutingEngine:
                     out[:, t] = column
                     out[t, t] = np.nan
                     if key is not None:
-                        self._memo_put(key, out[:, t].copy())
+                        self._delay_memo.put(key, out[:, t].copy())
             else:
                 rows = np.asarray([row for row, _, _ in pending])
                 ts = np.asarray([t for _, t, _ in pending])
@@ -461,7 +502,7 @@ class RoutingEngine:
                     out[:, t] = columns[:, i]
                     out[t, t] = np.nan
                     if key is not None:
-                        self._memo_put(key, out[:, t].copy())
+                        self._delay_memo.put(key, out[:, t].copy())
         return out
 
     def _delay_pending(
@@ -477,9 +518,7 @@ class RoutingEngine:
 
         Copies reusable and memoized delay columns into ``out`` and
         returns the ``(row, t, memo key)`` triples that still need
-        propagation.  Shared with the sweep engine
-        (:func:`repro.routing.sweep.flush_delay_batch`), which
-        concatenates the pending columns of many scenarios into one DP.
+        propagation.
         """
         changed = (
             arc_delays != reuse.arc_delays if reuse is not None else None
@@ -508,21 +547,12 @@ class RoutingEngine:
                     mask_row.tobytes(),
                     arc_delays[mask_row].tobytes(),
                 )
-                with self._delay_memo_lock:
-                    cached = self._delay_memo.get(key)
-                    if cached is not None:
-                        self._delay_memo.move_to_end(key)
+                cached = self._delay_memo.get(key)
                 if cached is not None:
                     out[:, t] = cached
                     continue
             pending.append((row, t, key))
         return pending
-
-    def _memo_put(self, key: tuple, column: np.ndarray) -> None:
-        with self._delay_memo_lock:
-            self._delay_memo[key] = column
-            while len(self._delay_memo) > self._DELAY_MEMO_SIZE:
-                self._delay_memo.popitem(last=False)
 
     def path_max_utilization(
         self, routing: ClassRouting, utilization: np.ndarray

@@ -16,7 +16,7 @@ bit-identical to the pure-Python kernels), and per-scenario totals are
 still folded in ascending destination order — so batching is purely an
 execution decision.
 
-Two pieces live here:
+Three pieces live here:
 
 * :func:`plan_sweep` — groups a scenario collection by *structural
   footprint*: plain arc-failure scenarios (whose footprint is the
@@ -36,6 +36,14 @@ Two pieces live here:
   scenario.  ``tests/routing/test_sweep.py`` pins the bit-identity
   property-style; the evaluator-level parity across scenario families
   is pinned by ``tests/core/test_sweep_evaluator.py``.
+* :func:`split_delay_columns` + :func:`flush_delay_batch` — the
+  path-delay DPs of a group.  A column whose mask row and distance
+  column equal the NORMAL routing's is copied from the base evaluation
+  when its DAG avoids every arc whose delay changed; the rest of those
+  *base-equal* columns, across all scenarios of the group, run as one
+  DP over the base routing's schedule replayed along the scenario axis
+  (:func:`~repro.routing.vectorized.replay_delay_columns`).  Only
+  rerouted columns need schedules of their own.
 
 The parallel evaluator reuses this planner on both executors: worker
 processes receive only shared-memory tickets and batch their slice
@@ -50,14 +58,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.routing.backend import resolve_batch_backend, routing_kernels
-from repro.routing.engine import _PY_DELAY_BATCH_MAX
+from repro.routing.engine import _PY_DELAY_BATCH_MAX, ClassRouting
 from repro.routing.failures import FailureScenario
 from repro.routing.fastpath import (
     fast_propagate_mean_delay,
     fast_propagate_worst_delay,
 )
-from repro.routing.incremental import IncrementalRouter, ScenarioRouting
-from repro.routing.vectorized import BatchSchedule, build_schedule
+from repro.routing.incremental import IncrementalRouter
+from repro.routing.vectorized import (
+    BatchPlan,
+    BatchSchedule,
+    build_schedule,
+    replay_delay_columns,
+)
 
 #: Upper bound on the floats held by one batch group's scenario
 #: structures (each scenario holds a full (N, N) distance matrix per
@@ -198,8 +211,7 @@ def plan_sweep(items: "list", num_nodes: int) -> SweepPlan:
 def route_scenario_batch(
     router: IncrementalRouter,
     scenarios: "list[FailureScenario]",
-    want_reusable: bool = False,
-) -> "tuple[list[ScenarioRouting], list[BatchHandoff]]":
+) -> "tuple[list[ClassRouting], list[BatchHandoff]]":
     """Route one class under many scenarios with batched propagation.
 
     The scenario-axis counterpart of :meth:`IncrementalRouter.
@@ -302,10 +314,107 @@ def route_scenario_batch(
             computed[i][pos] = contrib, und_value
 
     routings = [
-        router._assemble_scenario(struct, computed[i], None, want_reusable)
+        router._assemble_scenario(struct, computed[i], None, False).routing
         for i, struct in enumerate(structs)
     ]
     return routings, handoffs
+
+
+@dataclass(frozen=True)
+class DelayBase:
+    """The NORMAL routing's path-delay state, priced against by a sweep.
+
+    Attributes:
+        routing: the delay class's failure-free routing.
+        pair_delays: its ``(N, N)`` path-delay matrix.
+        arc_delays: the per-arc delays ``pair_delays`` was computed from.
+    """
+
+    routing: ClassRouting
+    pair_delays: np.ndarray
+    arc_delays: np.ndarray
+
+    def schedule(self, plan: BatchPlan) -> BatchSchedule:
+        """The routing's whole-destination schedule (built once).
+
+        Cached on the routing under the attribute ``route_class`` uses
+        for the same schedule — a pure function of the routing's frozen
+        masks and distances.
+        """
+        routing = self.routing
+        schedule = routing.__dict__.get("_batch_schedule")
+        if schedule is None:
+            schedule = build_schedule(
+                plan, routing.masks, routing.dist[:, routing.destinations]
+            )
+            object.__setattr__(routing, "_batch_schedule", schedule)
+        return schedule
+
+
+def split_delay_columns(
+    base: "DelayBase | None",
+    routing: ClassRouting,
+    arc_delays: np.ndarray,
+    out: np.ndarray,
+) -> "tuple[np.ndarray, list[tuple[int, int]]]":
+    """Sort one scenario's path-delay columns by how they are priced.
+
+    A column is *base-equal* when its mask row and distance column are
+    exactly the NORMAL routing's (compared here, so routing-cache hits
+    and the unchanged delay class are covered as well as the
+    incremental router's untouched destinations).  A base-equal column
+    whose DAG avoids every arc with a changed delay is the base column
+    verbatim and is copied into ``out`` now.
+
+    Returns ``(replay, pending)``: the rows of the other base-equal
+    columns, which :func:`flush_delay_batch` prices on the base
+    routing's schedule, and the ``(row, destination)`` pairs of the
+    rerouted columns.
+    """
+    dests = routing.destinations
+    if base is None:
+        return np.zeros(0, dtype=np.intp), [
+            (row, int(t)) for row, t in enumerate(dests.tolist())
+        ]
+    base_routing = base.routing
+    if routing is base_routing:
+        equal = np.ones(dests.size, dtype=bool)
+    elif not np.array_equal(dests, base_routing.destinations):
+        equal = np.zeros(dests.size, dtype=bool)
+    else:
+        equal = (routing.masks == base_routing.masks).all(axis=1)
+        equal &= (
+            routing.dist[:, dests] == base_routing.dist[:, dests]
+        ).all(axis=0)
+    changed = arc_delays != base.arc_delays
+    touched = routing.masks[:, changed].any(axis=1)
+    copied = dests[equal & ~touched]
+    out[:, copied] = base.pair_delays[:, copied]
+    pending = [
+        (row, int(dests[row])) for row in np.flatnonzero(~equal).tolist()
+    ]
+    return np.flatnonzero(equal & touched), pending
+
+
+def _write_columns(
+    tasks: "list[tuple]",
+    owners: np.ndarray,
+    dests: np.ndarray,
+    columns: np.ndarray,
+) -> None:
+    """Store DP columns into their tasks' outputs (diagonal re-NaN'd).
+
+    ``owners`` gives the task index per column; runs of one owner are
+    written with one slice assignment.
+    """
+    bounds = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [owners.size]))
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        out = tasks[int(owners[lo])][2]
+        ts = dests[lo:hi]
+        out[:, ts] = columns[:, lo:hi]
+        out[ts, ts] = np.nan
 
 
 def flush_delay_batch(
@@ -313,46 +422,76 @@ def flush_delay_batch(
     mode: str,
     tasks: "list[tuple]",
     shared: "list[tuple[np.ndarray, np.ndarray, BatchSchedule]]" = (),
+    base: "DelayBase | None" = None,
 ) -> None:
-    """Run the pending path-delay columns of many scenarios in one DP.
+    """Run the outstanding path-delay columns of many scenarios.
 
     Args:
         engine: the :class:`~repro.routing.engine.RoutingEngine`.
         mode: ``"worst"`` or ``"mean"``.
-        tasks: ``(routing, arc_delays, out, pending)`` per scenario —
-            the output of the engine's reuse/memo pre-pass
-            (:meth:`RoutingEngine._delay_pending`); ``pending`` lists
-            ``(row, t, memo key)`` triples still needing propagation.
+        tasks: ``(routing, arc_delays, out, replay, pending)`` per
+            scenario — the output of :func:`split_delay_columns`:
+            ``replay`` holds rows of base-equal columns to price on the
+            base routing's schedule, ``pending`` the ``(row, t)`` pairs
+            of rerouted columns.
         shared: prebuilt ``(column task indices, column destinations,
             schedule)`` triples from the load-propagation batches
             (:class:`BatchHandoff` resolved to task indices by the
             caller).  A schedule depends only on its columns' (mask,
             distance) pairs — identical between a scenario's load
             propagation and its delay DP — so covered pending columns
-            replay these schedules instead of paying a fresh build;
-            recomputing a covered column that was individually
-            reusable replays the identical bits, exactly like the
-            per-scenario handed-subset reuse.
+            replay these schedules instead of paying a fresh build.
+        base: the NORMAL routing's state the ``replay`` rows refer to
+            (required when any task has replay rows).
 
-    Pending columns not covered by a shared schedule are concatenated,
-    share one schedule build, and read their own scenario's arc-delay
-    vector via the kernels' ``delay_rows`` hook, so every column is
-    bit-identical to a per-scenario ``path_delays`` call; results land
-    in ``out`` in place (diagonal re-NaN'd) and in the engine's delay
-    memo under the per-scenario keys.
+    The base-equal columns of the batch run in one DP over the base
+    routing's schedule with the scenarios as a second axis
+    (:func:`~repro.routing.vectorized.replay_delay_columns`), split into
+    calls of at most :func:`kernel_cell_budget` columns.  Rerouted
+    columns replay a covering shared schedule, and the rest share one
+    fresh schedule build (or the per-destination python kernel when
+    only a handful remain).  Every
+    column is bit-identical to a per-scenario ``path_delays`` call;
+    results land in ``out`` in place, diagonal re-NaN'd.  Nothing here
+    reads or fills the engine's delay memo.
     """
     _maybe_fault("delay_flush")
-    if not any(pending for _, _, _, pending in tasks):
+    replaying = [i for i, task in enumerate(tasks) if len(task[3])]
+    if not replaying and not any(task[4] for task in tasks):
         return
-    delays_2d = np.stack([arc_delays for _, arc_delays, _, _ in tasks])
-    #: Outstanding (task, destination) -> memo key; cells leave the map
-    #: as soon as a shared schedule serves them.
-    remaining: "dict[tuple[int, int], tuple | None]" = {
-        (i, t): key
-        for i, (_, _, _, pending) in enumerate(tasks)
-        for _, t, key in pending
-    }
+    delays_2d = np.stack([task[1] for task in tasks])
     net = engine.network
+    plan = engine._batch_plan
+    budget = kernel_cell_budget(net.num_arcs)
+
+    if replaying:
+        schedule = base.schedule(plan)
+        base_dests = base.routing.destinations
+        # Every replayed scenario adds all base columns to the DP state.
+        per_call = max(1, budget // max(1, base_dests.size))
+        for lo in range(0, len(replaying), per_call):
+            group = replaying[lo: lo + per_call]
+            columns = replay_delay_columns(
+                plan,
+                schedule,
+                delays_2d[group],
+                base_dests,
+                mean=mode == "mean",
+            )
+            for copy, i in enumerate(group):
+                rows = tasks[i][3]
+                out = tasks[i][2]
+                ts = base_dests[rows]
+                out[:, ts] = columns[:, rows, copy]
+                out[ts, ts] = np.nan
+
+    #: Outstanding rerouted (task, destination) cells; they leave the
+    #: set as soon as a shared schedule serves them.
+    remaining: "set[tuple[int, int]]" = {
+        (i, t) for i, task in enumerate(tasks) for _, t in task[4]
+    }
+    if not remaining:
+        return
     kernels = routing_kernels(
         resolve_batch_backend(
             engine._backend, net.num_nodes, net.num_arcs, len(remaining)
@@ -363,31 +502,21 @@ def flush_delay_batch(
         if mode == "mean"
         else kernels.batch_propagate_worst_delay
     )
-
-    def write(i: int, t: int, key: "tuple | None", column: np.ndarray) -> None:
-        out = tasks[i][2]
-        out[:, t] = column
-        out[t, t] = np.nan
-        if key is not None:
-            engine._memo_put(key, out[:, t].copy())
-
     for task_rows, dests, schedule in shared:
-        if not remaining:
-            break
         served = [
             j
             for j in range(len(dests))
             if (int(task_rows[j]), int(dests[j])) in remaining
         ]
         # Replay only when it harvests enough of the schedule's columns
-        # — the DP computes every column, so a near-fully-memoized
-        # sweep would pay O(cells x arcs) to harvest a handful (the
-        # batch counterpart of path_delays' covered-fraction guard);
-        # unserved cells fall through to the right-sized path below.
+        # — the DP computes every column, so a mostly-served sweep
+        # would pay O(cells x arcs) to harvest a handful (the batch
+        # counterpart of path_delays' covered-fraction guard); unserved
+        # cells fall through to the right-sized path below.
         if not served or 2 * len(served) < len(dests):
             continue
         columns = batch_propagate(
-            engine._batch_plan,
+            plan,
             None,
             None,
             delays_2d,
@@ -395,16 +524,20 @@ def flush_delay_batch(
             schedule=schedule,
             delay_rows=task_rows,
         )
-        for j in served:
-            i, t = int(task_rows[j]), int(dests[j])
-            write(i, t, remaining.pop((i, t)), columns[:, j])
-
-    if not remaining:
-        return
+        served_idx = np.asarray(served, dtype=np.intp)
+        _write_columns(
+            tasks, task_rows[served_idx], dests[served_idx],
+            columns[:, served_idx],
+        )
+        remaining.difference_update(
+            (int(task_rows[j]), int(dests[j])) for j in served
+        )
+        if not remaining:
+            return
     cells = [
-        (i, row, t, key)
-        for i, (_, _, _, pending) in enumerate(tasks)
-        for row, t, key in pending
+        (i, row, t)
+        for i, task in enumerate(tasks)
+        for row, t in task[4]
         if (i, t) in remaining
     ]
     if len(cells) <= _PY_DELAY_BATCH_MAX:
@@ -417,38 +550,26 @@ def flush_delay_batch(
             else fast_propagate_worst_delay
         )
         delay_lists: "dict[int, list[float]]" = {}
-        for i, row, t, key in cells:
+        for i, row, t in cells:
             delays = delay_lists.get(i)
             if delays is None:
                 delays = delay_lists[i] = tasks[i][1].tolist()
-            column = propagate(
-                engine.plan,
-                tasks[i][0].masks[row],
-                tasks[i][0].dist[:, t],
-                delays,
-                t,
+            routing = tasks[i][0]
+            out = tasks[i][2]
+            out[:, t] = propagate(
+                engine.plan, routing.masks[row], routing.dist[:, t], delays, t
             )
-            write(i, t, key, np.asarray(column))
+            out[t, t] = np.nan
         return
-    num_arcs = engine.network.num_arcs
-    budget = kernel_cell_budget(num_arcs)
     for lo in range(0, len(cells), budget):
         chunk = cells[lo: lo + budget]
-        masks = np.stack(
-            [tasks[i][0].masks[row] for i, row, _, _ in chunk]
-        )
+        masks = np.stack([tasks[i][0].masks[row] for i, row, _ in chunk])
         dist_cols = np.stack(
-            [tasks[i][0].dist[:, t] for i, _, t, _ in chunk], axis=1
+            [tasks[i][0].dist[:, t] for i, _, t in chunk], axis=1
         )
-        dests = np.asarray([t for _, _, t, _ in chunk], dtype=np.intp)
-        delay_rows = np.asarray([i for i, _, _, _ in chunk], dtype=np.intp)
+        dests = np.asarray([t for _, _, t in chunk], dtype=np.intp)
+        owners = np.asarray([i for i, _, _ in chunk], dtype=np.intp)
         columns = batch_propagate(
-            engine._batch_plan,
-            masks,
-            dist_cols,
-            delays_2d,
-            dests,
-            delay_rows=delay_rows,
+            plan, masks, dist_cols, delays_2d, dests, delay_rows=owners
         )
-        for j, (i, _, t, key) in enumerate(chunk):
-            write(i, t, key, columns[:, j])
+        _write_columns(tasks, owners, dests, columns)

@@ -478,3 +478,72 @@ def batch_propagate_mean_delay(
         plan, masks, dist_cols, arc_delays, dests, mean=True,
         schedule=schedule, delay_rows=delay_rows,
     )
+
+
+def replay_delay_columns(
+    plan: BatchPlan,
+    schedule: BatchSchedule,
+    arc_delays: np.ndarray,
+    dests: np.ndarray,
+    mean: bool = False,
+) -> np.ndarray:
+    """One schedule's path-delay DP under many arc-delay vectors at once.
+
+    The scenario-axis replay of one routing's schedule: scenarios that
+    keep a destination's mask row and distance column share that
+    column's cells, levels and live-arc expansion, and differ only in
+    the arc delays the DP reads.  Here the scenarios form the inner,
+    contiguous axis of the DP state, so each level step moves whole
+    rows of ``S`` floats and no per-scenario schedule is built.
+
+    Args:
+        plan: the network's batch plan.
+        schedule: the schedule of the ``D`` columns (destinations
+            ``dests``).
+        arc_delays: ``(S, num_arcs)`` arc-delay vectors.
+        dests: the ``D`` destination node ids.
+        mean: flow-weighted mean instead of worst used-path delay.
+
+    Returns:
+        ``(N, D, S)`` delays; ``[:, j, s]`` is bit-identical to column
+        ``j`` of :func:`batch_propagate_worst_delay` (or ``_mean_``) run
+        on ``schedule`` with ``arc_delays[s]``.  Per element the
+        arithmetic is that kernel's: the same ``arc_delay +
+        downstream`` sums, maxima over the same segments, and mean
+        totals accumulated sequentially in arc order (``np.add.at``
+        applies index rows in order, as ``np.bincount`` does) before
+        the same division.
+    """
+    dests = np.asarray(dests, dtype=np.intp)
+    d = dests.size
+    num_rows = arc_delays.shape[0]
+    # Row ``node * d + col`` holds the cell's delays across scenarios.
+    delay = np.full((plan.num_nodes * d, num_rows), np.inf)
+    delay[dests * d + np.arange(d)] = 0.0
+    delays_t = np.ascontiguousarray(arc_delays.T)
+    arc_dst = plan.arc_dst
+    sched = schedule
+    for lv in range(sched.num_levels):
+        p0, p1 = sched.level_ptr[lv], sched.level_ptr[lv + 1]
+        a0, a1 = sched.arc_ptr[lv], sched.arc_ptr[lv + 1]
+        if a0 == a1:
+            continue
+        l_nodes = sched.nodes[p0:p1]
+        l_cols = sched.cols[p0:p1]
+        has = (sched.live_counts[p0:p1] > 0.0) & (l_nodes != dests[l_cols])
+        if not has.any():
+            continue
+        l_arcs = sched.arcs[a0:a1]
+        candidates = (
+            delays_t[l_arcs]
+            + delay[arc_dst[l_arcs] * d + sched.arc_cols[a0:a1]]
+        )
+        if mean:
+            totals = np.zeros((p1 - p0, num_rows))
+            np.add.at(totals, sched.seg[a0:a1] - p0, candidates)
+            values = totals[has] / sched.live_counts[p0:p1][has][:, None]
+        else:
+            starts = sched.cell_ptr[p0:p1][has] - a0
+            values = np.maximum.reduceat(candidates, starts, axis=0)
+        delay[l_nodes[has] * d + l_cols[has]] = values
+    return delay.reshape(plan.num_nodes, d, num_rows)

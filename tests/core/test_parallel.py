@@ -118,6 +118,15 @@ class TestProcessPoolParity:
             assert ref.cost.phi == got.cost.phi
 
     def test_worker_cache_stats_reported(self, isp_instance, isp_setting):
+        """Worker cache counters fold into the parent's ``cache_stats``.
+
+        The pool promises no chunk-to-worker affinity: a repeat sweep
+        may hand every chunk to the worker that did not route it the
+        first time, and then nothing hits.  Each sweep makes the same
+        lookups whichever worker serves a chunk, and once a chunk has
+        run on both workers it hits on either — so with two workers the
+        second repeat at the latest is answered from warm caches.
+        """
         network, traffic = isp_instance
         failures = single_link_failures(network)
         with ParallelDtrEvaluator(
@@ -125,11 +134,15 @@ class TestProcessPoolParity:
         ) as parallel:
             parallel.evaluate_failures(isp_setting, failures)
             first = parallel.cache_stats
-            parallel.evaluate_failures(isp_setting, failures)
-            second = parallel.cache_stats
-        assert first.lookups > 0
-        # the repeat sweep is answered from warm worker caches
-        assert second.hits > first.hits
+            assert first.lookups > 0
+            for repeat in (1, 2):
+                parallel.evaluate_failures(isp_setting, failures)
+                stats = parallel.cache_stats
+                assert stats.lookups == (repeat + 1) * first.lookups
+                if stats.hits > first.hits:
+                    break
+        # a repeat sweep is answered from warm worker caches
+        assert stats.hits > first.hits
 
 
 @pytest.mark.parallel

@@ -15,8 +15,8 @@ Pins the PR's acceptance criteria:
 import numpy as np
 import pytest
 
-from repro.config import ExecutionParams, OptimizerConfig
-from repro.core.evaluation import DtrEvaluator
+from repro.config import ExecutionParams
+from repro.core.evaluation import DtrEvaluator, ScenarioCosts
 from repro.core.parallel import (
     CachingDtrEvaluator,
     ParallelDtrEvaluator,
@@ -32,6 +32,7 @@ from repro.routing.failures import single_link_failures
 from repro.scenarios import (
     GaussianSurge,
     GravityRescale,
+    ScenarioSet,
     cross,
     gaussian_surges,
     k_link_failures,
@@ -206,6 +207,186 @@ class TestSerialParity:
                 sweep.evaluations[i].cost == sweep.evaluations[half + i].cost
             )
         assert small_evaluator.num_evaluations == len(doubled) + 1
+
+
+def _per_scenario(evaluator, setting, scenarios):
+    """The reference: one ``evaluate()`` call per scenario."""
+    normal = evaluator.evaluate_normal(setting)
+    return ScenarioCosts(
+        tuple(evaluator.evaluate(setting, s, reuse=normal) for s in scenarios)
+    )
+
+
+class TestBaseReplayParity:
+    """Delay columns priced on the base routing's schedule, bit for bit.
+
+    Each case drives a different source of base-equal columns through
+    the batched sweep and compares ``pair_delays`` and costs with
+    per-scenario :meth:`DtrEvaluator.evaluate` calls.
+    """
+
+    @staticmethod
+    def _setting(network, config, seed):
+        return WeightSetting.random(
+            network.num_arcs, config.weights, np.random.default_rng(seed)
+        )
+
+    def test_routing_cache_hits(self, small_instance, tiny_config):
+        network, traffic = small_instance
+        failures = list(single_link_failures(network))
+        setting = self._setting(network, tiny_config, 21)
+        reference = _per_scenario(
+            _evaluator(network, traffic, tiny_config, "off"),
+            setting,
+            failures,
+        )
+        caching = CachingDtrEvaluator(
+            network,
+            traffic,
+            tiny_config.replace(
+                execution=ExecutionParams(sweep_batching="on")
+            ),
+        )
+        assert_sweeps_identical(
+            reference, caching.evaluate_scenarios(setting, failures)
+        )
+        before = caching.cache_stats
+        # the repeat sweep routes from cache hits, which carry no
+        # reusable-destination hint
+        assert_sweeps_identical(
+            reference, caching.evaluate_scenarios(setting, failures)
+        )
+        assert caching.cache_stats.hits > before.hits
+
+    def test_delay_class_shortcut(self, small_instance, tiny_config):
+        """Failures off the delay DAGs but on the throughput DAGs keep
+        the NORMAL delay routing: every column is base-equal."""
+        network, traffic = small_instance
+        for seed in range(30, 60):
+            setting = self._setting(network, tiny_config, seed)
+            normal = _evaluator(
+                network, traffic, tiny_config, "on"
+            ).evaluate_normal(setting)
+            used_d = normal.routing_delay.used_arcs()
+            used_t = normal.routing_tput.used_arcs()
+            shortcut = [
+                f
+                for f in single_link_failures(network)
+                if not used_d[list(f.failed_arcs)].any()
+                and used_t[list(f.failed_arcs)].any()
+            ]
+            if shortcut:
+                break
+        assert shortcut
+        batched = _evaluator(network, traffic, tiny_config, "on")
+        normal = batched.evaluate_normal(setting)
+        candidate = batched.evaluate_scenarios(
+            setting, shortcut, reuse=normal
+        )
+        assert all(
+            e.routing_delay is normal.routing_delay
+            for e in candidate.evaluations
+        )
+        reference = _per_scenario(
+            _evaluator(network, traffic, tiny_config, "off"),
+            setting,
+            shortcut,
+        )
+        assert_sweeps_identical(reference, candidate)
+
+    def test_mean_delay_mode(self, small_instance, tiny_config):
+        network, traffic = small_instance
+        scenarios = _mixed_scenarios(network, seed=4)
+        setting = self._setting(network, tiny_config, 44)
+        configs = {
+            mode: tiny_config.replace(
+                execution=ExecutionParams(sweep_batching=mode)
+            )
+            for mode in ("off", "on")
+        }
+        reference = _per_scenario(
+            DtrEvaluator(network, traffic, configs["off"], delay_mode="mean"),
+            setting,
+            scenarios,
+        )
+        batched = DtrEvaluator(
+            network, traffic, configs["on"], delay_mode="mean"
+        )
+        assert_sweeps_identical(
+            reference, batched.evaluate_scenarios(setting, scenarios)
+        )
+
+    def test_small_budget_chunks_the_replay(
+        self, small_instance, tiny_config, monkeypatch
+    ):
+        import repro.routing.sweep as sweep_mod
+
+        calls = []
+        real_replay = sweep_mod.replay_delay_columns
+
+        def counting_replay(plan, schedule, arc_delays, dests, mean):
+            calls.append(arc_delays.shape[0] * len(dests))
+            return real_replay(plan, schedule, arc_delays, dests, mean=mean)
+
+        # one scenario's columns per replay call
+        monkeypatch.setattr(sweep_mod, "kernel_cell_budget", lambda a: 3)
+        monkeypatch.setattr(
+            sweep_mod, "replay_delay_columns", counting_replay
+        )
+        network, traffic = small_instance
+        failures = list(single_link_failures(network))
+        setting = self._setting(network, tiny_config, 55)
+        reference = _per_scenario(
+            _evaluator(network, traffic, tiny_config, "off"),
+            setting,
+            failures,
+        )
+        batched = _evaluator(network, traffic, tiny_config, "on")
+        assert_sweeps_identical(
+            reference, batched.evaluate_scenarios(setting, failures)
+        )
+        assert len(calls) > 1
+        assert max(calls) == network.num_nodes
+
+    def test_variant_groups(self, small_instance, tiny_config):
+        network, traffic = small_instance
+        scenarios = cross(
+            ScenarioSet.from_failures(single_link_failures(network)),
+            [GaussianSurge(seed=3), GravityRescale(1.2)],
+        )
+        setting = self._setting(network, tiny_config, 66)
+        reference = _per_scenario(
+            _evaluator(network, traffic, tiny_config, "off"),
+            setting,
+            scenarios,
+        )
+        batched = _evaluator(network, traffic, tiny_config, "on")
+        assert_sweeps_identical(
+            reference, batched.evaluate_scenarios(setting, scenarios)
+        )
+
+    def test_batched_sweep_leaves_delay_memo_untouched(
+        self, small_instance, tiny_config
+    ):
+        network, traffic = small_instance
+        failures = list(single_link_failures(network))
+        setting = self._setting(network, tiny_config, 77)
+        evaluator = _evaluator(network, traffic, tiny_config, "on")
+        memo = evaluator.engine.delay_memo
+        normal = evaluator.evaluate_normal(setting)
+        probes = memo.hits + memo.misses
+        entries = len(memo)
+        evaluator.evaluate_scenarios(setting, failures, reuse=normal)
+        assert memo.hits + memo.misses == probes
+        assert len(memo) == entries
+        # the per-scenario path still probes and fills it
+        for failure in failures:
+            evaluator.evaluate(setting, failure, reuse=normal)
+        assert memo.misses > 0 and len(memo) > entries
+        hits = memo.hits
+        for failure in failures:
+            evaluator.evaluate(setting, failure, reuse=normal)
+        assert memo.hits > hits
 
 
 @pytest.mark.parallel

@@ -14,12 +14,15 @@ from repro.config import OptimizerConfig
 from repro.core.weights import WeightSetting
 from repro.routing.fastpath import PropagationPlan, fast_propagate_worst_delay
 from repro.routing.incremental import IncrementalRouter
+from repro.routing.engine import RoutingEngine
 from repro.routing.sweep import (
+    DelayBase,
     flush_delay_batch,
     group_scenario_budget,
     kernel_cell_budget,
     plan_sweep,
     route_scenario_batch,
+    split_delay_columns,
 )
 from repro.routing.vectorized import (
     BatchPlan,
@@ -112,21 +115,15 @@ class TestBatchRoutingParity:
             )
         ]
         reference = fresh_router(network, traffic, weights)
-        expected = [
-            reference.route_scenario(s, want_reusable=True)
-            for s in scenarios
-        ]
+        expected = [reference.route_scenario(s).routing for s in scenarios]
         batched = fresh_router(network, traffic, weights)
-        got, handoffs = route_scenario_batch(
-            batched, scenarios, want_reusable=True
-        )
+        got, handoffs = route_scenario_batch(batched, scenarios)
         assert len(got) == len(expected)
         for exp, act in zip(expected, got):
-            assert np.array_equal(exp.routing.loads, act.routing.loads)
-            assert np.array_equal(exp.routing.dist, act.routing.dist)
-            assert np.array_equal(exp.routing.masks, act.routing.masks)
-            assert exp.routing.undelivered == act.routing.undelivered
-            assert exp.reusable == act.reusable
+            assert np.array_equal(exp.loads, act.loads)
+            assert np.array_equal(exp.dist, act.dist)
+            assert np.array_equal(exp.masks, act.masks)
+            assert exp.undelivered == act.undelivered
         # handoff columns name real (scenario, destination) cells
         for handoff in handoffs:
             for i, t in handoff.cells:
@@ -150,8 +147,8 @@ class TestBatchRoutingParity:
         first, _ = route_scenario_batch(router, scenarios)
         second, handoffs = route_scenario_batch(router, scenarios)
         for a, b in zip(first, second):
-            assert np.array_equal(a.routing.loads, b.routing.loads)
-            assert a.routing.undelivered == b.routing.undelivered
+            assert np.array_equal(a.loads, b.loads)
+            assert a.undelivered == b.undelivered
         # warm pass is served from the memo: no kernel batches needed
         assert handoffs == []
 
@@ -226,38 +223,90 @@ class TestDelayRowsKernel:
 
 
 class TestFlushDelayBatch:
-    def test_flush_fills_pending_and_memo(self, instance):
-        """flush_delay_batch equals per-scenario path_delays columns."""
-        from repro.routing.engine import RoutingEngine
-
+    @staticmethod
+    def _routed(instance, seed, scenarios):
         network, traffic = instance
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng(seed)
         setting = WeightSetting.random(
             network.num_arcs, OptimizerConfig().weights, rng
         )
         weights = np.asarray(setting.delay, dtype=np.float64)
+        router = fresh_router(network, traffic, weights)
+        routings, _ = route_scenario_batch(router, scenarios)
+        return router, routings, rng
+
+    def test_flush_fills_pending_and_leaves_memo(self, instance):
+        """flush_delay_batch equals per-scenario path_delays columns."""
+        network, _ = instance
         scenarios = [
             s.failure
             for s in srlg_failures(
                 network, num_groups=3, group_size=2, seed=8
             )
         ]
-        router = fresh_router(network, traffic, weights)
-        routings, _ = route_scenario_batch(router, scenarios)
+        _, routings, rng = self._routed(instance, 8, scenarios)
         engine = RoutingEngine(network)
         n = network.num_nodes
         tasks = []
         expected = []
-        for sr in routings:
+        for routing in routings:
             delays = rng.uniform(0.001, 0.01, network.num_arcs)
             out = np.full((n, n), np.nan)
-            pending = engine._delay_pending(
-                sr.routing, delays, "worst", None, True, out
-            )
-            tasks.append((sr.routing, delays, out, pending))
+            replay, pending = split_delay_columns(None, routing, delays, out)
+            assert replay.size == 0
+            assert len(pending) == routing.destinations.size
+            tasks.append((routing, delays, out, replay, pending))
             expected.append(
-                RoutingEngine(network).path_delays(sr.routing, delays)
+                RoutingEngine(network).path_delays(routing, delays)
             )
         flush_delay_batch(engine, "worst", tasks)
-        for (_, _, out, _), exp in zip(tasks, expected):
+        for (_, _, out, _, _), exp in zip(tasks, expected):
             assert np.array_equal(out, exp, equal_nan=True)
+        # the batched path neither probes nor fills the delay memo
+        assert len(engine.delay_memo) == 0
+        assert engine.delay_memo.hits == engine.delay_memo.misses == 0
+
+    @pytest.mark.parametrize("mode", ["worst", "mean"])
+    def test_base_equal_columns_replay_base_schedule(
+        self, instance, mode, monkeypatch
+    ):
+        """Copied, base-replayed and rerouted columns all equal the
+        per-scenario DP, also when the replay DP runs in chunks."""
+        import repro.routing.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "kernel_cell_budget", lambda a: 5)
+        network, _ = instance
+        scenarios = [s for s in single_link_failures(network)]
+        router, routings, rng = self._routed(instance, 9, scenarios)
+        engine = RoutingEngine(network)
+        base_routing = router.routing
+        base_delays = rng.uniform(0.001, 0.01, network.num_arcs)
+        base = DelayBase(
+            routing=base_routing,
+            pair_delays=engine.path_delays(base_routing, base_delays, mode),
+            arc_delays=base_delays,
+        )
+        n = network.num_nodes
+        tasks = []
+        expected = []
+        copied = replayed = rerouted = 0
+        for i, routing in enumerate(routings + [base_routing]):
+            delays = base_delays.copy()
+            # a few arcs change delay; every third scenario none
+            if i % 3:
+                arcs = rng.integers(0, network.num_arcs, 3)
+                delays[arcs] = rng.uniform(0.001, 0.01, 3)
+            out = np.full((n, n), np.nan)
+            replay, pending = split_delay_columns(base, routing, delays, out)
+            copied += routing.destinations.size - replay.size - len(pending)
+            replayed += replay.size
+            rerouted += len(pending)
+            tasks.append((routing, delays, out, replay, pending))
+            expected.append(
+                RoutingEngine(network).path_delays(routing, delays, mode)
+            )
+        assert copied and replayed > 5 and rerouted
+        flush_delay_batch(engine, mode, tasks, base=base)
+        for (_, _, out, _, _), exp in zip(tasks, expected):
+            assert np.array_equal(out, exp, equal_nan=True)
+        assert len(engine.delay_memo) == 0

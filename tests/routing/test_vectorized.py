@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.routing import numba_kernels, vectorized
 from repro.routing.backend import (
     VALID_BACKENDS,
     VECTOR_CROSSOVER_WORK,
@@ -36,6 +37,7 @@ from repro.routing.vectorized import (
     batch_propagate_worst_delay,
     batch_total_loads,
     build_schedule,
+    replay_delay_columns,
 )
 from repro.topology import isp_topology, powerlaw_topology, rand_topology
 from repro.traffic import dtr_traffic
@@ -212,6 +214,68 @@ class TestKernelParity:
         )
         np.testing.assert_array_equal(without[0], with_sched[0])
         np.testing.assert_array_equal(without[1], with_sched[1])
+
+
+DELAY_KERNELS = [
+    pytest.param(
+        vectorized.batch_propagate_worst_delay, False, id="vector-worst"
+    ),
+    pytest.param(
+        vectorized.batch_propagate_mean_delay, True, id="vector-mean"
+    ),
+    # Without numba installed these are the un-jitted twins.
+    pytest.param(
+        numba_kernels.batch_propagate_worst_delay, False, id="numba-worst"
+    ),
+    pytest.param(
+        numba_kernels.batch_propagate_mean_delay, True, id="numba-mean"
+    ),
+]
+
+
+class TestReplayDelayColumns:
+    """The scenario-axis DP over one schedule, bit for bit per copy."""
+
+    @staticmethod
+    def _batch(build, seed: int):
+        """A routed batch with unreachable nodes and arcless cells.
+
+        A removed node is unreachable from every destination; dropping
+        random DAG arcs leaves some cells with no live arc (dead ends).
+        """
+        network, demands, rng = make_instance(build, seed)
+        weights = rng.integers(1, 20, network.num_arcs).astype(np.float64)
+        scenario = random_scenario(network, rng, 2)
+        routing = RoutingEngine(network, backend="python").route_class(
+            weights, demands, scenario
+        )
+        masks = routing.masks & (rng.random(routing.masks.shape) > 0.3)
+        dests = routing.destinations
+        cols = routing.dist[:, dests]
+        assert not np.isfinite(cols).all()
+        plan = BatchPlan.for_network(network)
+        schedule = build_schedule(plan, masks, cols)
+        assert (schedule.live_counts == 0.0).sum() > dests.size
+        return plan, masks, cols, dests, schedule, rng
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    @pytest.mark.parametrize("kernel, mean", DELAY_KERNELS)
+    @pytest.mark.parametrize("build", INSTANCES)
+    def test_copies_match_single_copy_dp(self, build, kernel, mean, copies):
+        plan, masks, cols, dests, schedule, rng = self._batch(build, 41)
+        delays = rng.uniform(1e-3, 1e-2, (copies, plan.num_arcs))
+        if copies > 2:
+            # a repeated delay row and one that differs on a single arc
+            delays[1] = delays[0]
+            delays[2] = delays[0]
+            delays[2, int(schedule.arcs[0])] *= 2.0
+        got = replay_delay_columns(plan, schedule, delays, dests, mean=mean)
+        assert got.shape == (plan.num_nodes, dests.size, copies)
+        for copy in range(copies):
+            np.testing.assert_array_equal(
+                got[:, :, copy],
+                kernel(plan, masks, cols, delays[copy], dests),
+            )
 
 
 class TestEngineParity:
